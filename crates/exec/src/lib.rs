@@ -18,8 +18,8 @@
 //!   all workers have been joined, exactly like a sequential loop would.
 //!
 //! The worker count comes from, in priority order: a process-local
-//! [`override_threads`] guard (used by tests and `perf_report` to pin the
-//! count), the `AERO_THREADS` environment variable, and
+//! [`override_threads`] guard (used by tests to pin the count), the
+//! `AERO_THREADS` environment variable, and
 //! [`std::thread::available_parallelism`].
 
 #![forbid(unsafe_code)]

@@ -233,7 +233,7 @@ mod tests {
         assert!(host.rule_applies(Rule::HashCollections));
         assert!(host.rule_applies(Rule::PanicHotPath));
 
-        let bench = FileContext::classify("crates/bench/src/bin/perf_report.rs");
+        let bench = FileContext::classify("crates/bench/src/bin/fig14.rs");
         assert!(!bench.rule_applies(Rule::WallClock));
         assert!(bench.rule_applies(Rule::ThreadCreate));
         assert!(!bench.rule_applies(Rule::HashCollections));

@@ -870,11 +870,13 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
     /// cloning the latency samples).
     pub fn run_to_end(mut self) -> RunReport {
         while self.step() {}
-        let read_latency = std::mem::take(&mut self.read_latency);
-        let write_latency = std::mem::take(&mut self.write_latency);
         let mut report = self.report_shell();
-        report.read_latency = read_latency;
-        report.write_latency = write_latency;
+        report.read_latency = std::mem::take(&mut self.read_latency);
+        report.write_latency = std::mem::take(&mut self.write_latency);
+        for (slice, accum) in report.tenants.iter_mut().zip(&mut self.tenant_stats) {
+            slice.latency = std::mem::take(&mut accum.latency);
+            slice.queue_delay = std::mem::take(&mut accum.queue_delay);
+        }
         report
     }
 
@@ -958,13 +960,18 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         let mut report = self.report_shell();
         report.read_latency = self.read_latency.clone();
         report.write_latency = self.write_latency.clone();
+        for (slice, accum) in report.tenants.iter_mut().zip(&self.tenant_stats) {
+            slice.latency = accum.latency.clone();
+            slice.queue_delay = accum.queue_delay.clone();
+        }
         report
     }
 
     /// [`Simulation::snapshot`] without the latency clones: everything in a
-    /// report except the latency recorders (left empty). Periodic telemetry
-    /// that only needs counters — completions, GC/erase activity, channel
-    /// and health stats — should use this with the borrowed
+    /// report except the latency recorders, the tenant slices' included
+    /// (all left empty). Periodic telemetry that only needs counters —
+    /// completions, GC/erase activity, channel and health stats — should
+    /// use this with the borrowed
     /// [`Simulation::read_latency`]/[`Simulation::write_latency`] recorders
     /// for tails, so a snapshot window costs O(dies + channels) instead of
     /// cloning the run's whole sample history.
@@ -985,7 +992,8 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         &self.write_latency
     }
 
-    /// Everything in a report except the latency recorders.
+    /// Everything in a report except the latency recorders, tenant slices
+    /// included (their recorders are left empty too).
     fn report_shell(&self) -> RunReport {
         let mut erase_stats = self.ssd.controller.stats().diff(&self.baseline_erase_stats);
         // `EraseStats::diff` cannot subtract maxima; the session tracked
@@ -1031,10 +1039,9 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 read_only: self.ssd.read_only,
                 read_only_since_ns: self.read_only_since_ns,
             },
-            // Session-side tenant slices: completion counts and latency
-            // recorders. Host-side counters (submitted/rejected/deferred,
-            // high-water marks) are filled in by the host interface, which
-            // owns the queues.
+            // Session-side tenant slices: completion counts. Host-side
+            // counters (submitted/rejected/deferred, high-water marks) are
+            // filled in by the host interface, which owns the queues.
             tenants: self
                 .tenant_stats
                 .iter()
@@ -1042,8 +1049,8 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                     name: String::new(),
                     reads_completed: accum.reads_completed,
                     writes_completed: accum.writes_completed,
-                    latency: accum.latency.clone(),
-                    queue_delay: accum.queue_delay.clone(),
+                    latency: LatencyRecorder::new(),
+                    queue_delay: LatencyRecorder::new(),
                     submitted: 0,
                     rejected: 0,
                     deferred: 0,

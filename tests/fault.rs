@@ -13,9 +13,9 @@
 
 use aero::core::SchemeKind;
 use aero::nand::FaultConfig;
-use aero::ssd::session::{CompletedRequest, SimObserver};
-use aero::ssd::{Auditor, CompletionStatus, Ssd, SsdConfig};
-use aero::workloads::{IoOp, IoRequest, Trace, TraceSource};
+use aero::ssd::session::{CompletedRequest, PageWriteEvent, SimObserver};
+use aero::ssd::{Auditor, CompletionStatus, RunReport, Ssd, SsdConfig};
+use aero::workloads::{IoOp, IoRequest, IterSource, SyntheticWorkload, Trace, TraceSource};
 
 /// Sectors per 16 KiB logical page (LBAs are in 512-byte sectors).
 const SECTORS_PER_PAGE: u64 = 32;
@@ -250,5 +250,88 @@ fn read_retry_ladder_recovers_spikes_and_surfaces_media_errors() {
     assert!(
         report.health.read_retry_histogram[0] > 0,
         "clean reads must land in ladder level 0"
+    );
+}
+
+/// Counts user page placements (`PageWriteEvent`s with `gc == false`).
+#[derive(Default)]
+struct UserPlacements(u64);
+
+impl SimObserver for UserPlacements {
+    fn on_page_write(&mut self, write: &PageWriteEvent) {
+        if !write.gc {
+            self.0 += 1;
+        }
+    }
+}
+
+/// Streams a long 50/50 synthetic mix through a 60 %-full drive with 16
+/// spare blocks under `fault`. Returns the report and the number of user
+/// pages actually placed.
+fn streamed_run(fault: FaultConfig, requests: usize) -> (RunReport, u64) {
+    let config = SsdConfig::small_test(SchemeKind::Aero)
+        .with_seed(0xA11CE)
+        .with_spare_blocks(16)
+        .with_faults(fault);
+    let mut ssd = Ssd::new(config);
+    ssd.fill_fraction(0.6);
+    let workload = SyntheticWorkload {
+        read_ratio: 0.5,
+        mean_request_bytes: 16.0 * 1024.0,
+        mean_inter_arrival_ns: 100_000.0,
+        footprint_bytes: 4 << 20,
+        hot_access_fraction: 0.8,
+        hot_region_fraction: 0.2,
+    };
+    let mut placements = UserPlacements::default();
+    let mut sim = ssd.session(IterSource::new(workload.stream(0xA11CE).take(requests)));
+    sim.add_observer(&mut placements);
+    let report = sim.run_to_end();
+    assert_eq!(
+        report.reads_completed + report.writes_completed,
+        requests as u64,
+        "every streamed request must complete"
+    );
+    (report, placements.0)
+}
+
+/// A mixed fault plan (program and erase failures, grown-bad blocks,
+/// read-error spikes) on a long streamed run stays in the regime where the
+/// drive does real work: blocks retire, the drive never goes read-only,
+/// GC keeps erasing, and every user write is actually programmed — a
+/// write that completes without being placed (the no-space escape hatch)
+/// would show up as fewer user placements than the fault-free run.
+#[test]
+fn faulted_stream_retires_blocks_and_places_every_user_page() {
+    // Retirement rates sized so total retirements stay well inside the
+    // spare budget: retire too many of the drive's 48 blocks and GC
+    // victims stop fitting in the surviving capacity.
+    let fault = FaultConfig {
+        program_fail_per_million: 1_000,
+        erase_fail_per_million: 100,
+        grown_bad_per_million: 2,
+        read_fault_per_million: 50_000,
+    };
+    let requests = 200_000;
+    let (plain, plain_placed) = streamed_run(FaultConfig::disabled(), requests);
+    let (faulted, faulted_placed) = streamed_run(fault, requests);
+
+    let health = &faulted.health;
+    assert!(health.any_events(), "the fault plan must fire");
+    assert!(
+        health.retired_blocks > 0,
+        "the run must be long enough to retire a block"
+    );
+    assert!(!health.read_only, "the faulted run must stay writable");
+    assert!(
+        faulted.erase_stats.operations * 3 >= plain.erase_stats.operations,
+        "faulted erase activity collapsed ({} vs {} plain)",
+        faulted.erase_stats.operations,
+        plain.erase_stats.operations,
+    );
+    assert!(plain_placed > 0);
+    assert_eq!(
+        faulted_placed, plain_placed,
+        "the faulted run must program every user page the plain run does"
     );
 }
