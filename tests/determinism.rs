@@ -11,8 +11,9 @@
 //! it concurrently would trample each other.
 
 use aero::bench::interference::interference_study;
-use aero::bench::system::{channel_sweep, run_ssd, table4, RunParams};
+use aero::bench::system::{channel_sweep, fig14, fig15, run_ssd, table4, RunParams};
 use aero::bench::Scale;
+use aero::core::fingerprint::fnv1a_64;
 use aero::core::SchemeKind;
 use aero::ssd::scenario::{run_scenario, ScenarioOutcome};
 use aero::ssd::{Ssd, SsdConfig};
@@ -85,10 +86,55 @@ fn faulted_sweep() -> Vec<ScenarioOutcome> {
     })
 }
 
+const GOLDEN_DIGESTS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/golden_digests.txt"
+);
+
+/// Compares the FNV-1a digest of each named output with the committed
+/// golden file (or rewrites the file under `AERO_BLESS_FIXTURES`). Every
+/// output that moved is named in one failure message.
+fn check_golden_digests(outputs: &[(&str, String)]) {
+    let rendered: String = outputs
+        .iter()
+        .map(|(name, text)| format!("{name} {:016x}\n", fnv1a_64(text.as_bytes())))
+        .collect();
+    if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
+        std::fs::write(GOLDEN_DIGESTS, &rendered).expect("bless the golden digests");
+    }
+    let committed = std::fs::read_to_string(GOLDEN_DIGESTS).expect(
+        "missing tests/fixtures/golden_digests.txt — regenerate with \
+         AERO_BLESS_FIXTURES=1 cargo test -q --test determinism",
+    );
+    let moved: Vec<String> = rendered
+        .lines()
+        .zip(committed.lines().chain(std::iter::repeat("")))
+        .filter(|(now, pinned)| now != pinned)
+        .map(|(now, pinned)| format!("  {now} (committed: {pinned:?})"))
+        .collect();
+    assert!(
+        moved.is_empty() && rendered.lines().count() == committed.lines().count(),
+        "golden digests changed; the outputs that moved:\n{}\n\
+         Simulated behaviour differs from the committed pin. Re-bless with \
+         AERO_BLESS_FIXTURES=1 cargo test -q --test determinism only in a \
+         change whose CHANGES.md entry explains why these outputs moved.",
+        moved.join("\n")
+    );
+}
+
 #[test]
 fn sweeps_are_byte_identical_across_thread_counts() {
     // Reference: everything on one thread, as with AERO_THREADS=1.
-    let (sweep_one, streamed_one, table_one, channels_one, faulted_one, interference_one) = {
+    let (
+        sweep_one,
+        streamed_one,
+        table_one,
+        channels_one,
+        faulted_one,
+        interference_one,
+        fig14_one,
+        fig15_one,
+    ) = {
         let _guard = aero::exec::override_threads(1);
         (
             sweep(),
@@ -97,6 +143,8 @@ fn sweeps_are_byte_identical_across_thread_counts() {
             channel_sweep(Scale::Quick),
             faulted_sweep(),
             interference_study(Scale::Quick),
+            fig14(Scale::Quick),
+            fig15(Scale::Quick),
         )
     };
     // The faulted reference must actually exercise the fault machinery,
@@ -156,4 +204,16 @@ fn sweeps_are_byte_identical_across_thread_counts() {
         interference_one, interference_eight,
         "interference_study quick-scale output diverged between 1 and 8 threads"
     );
+
+    // The same reference outputs, pinned across commits.
+    check_golden_digests(&[
+        ("run_ssd_sweep", format!("{sweep_one:?}")),
+        ("streamed_sweep", format!("{streamed_one:?}")),
+        ("table4_quick", table_one),
+        ("channel_sweep_quick", channels_one),
+        ("faulted_scenarios", format!("{faulted_one:?}")),
+        ("interference_study_quick", interference_one),
+        ("fig14_quick", fig14_one),
+        ("fig15_quick", fig15_one),
+    ]);
 }

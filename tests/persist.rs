@@ -3,7 +3,7 @@
 //! injection corpus, power-loss crash recovery, and the golden-fixture
 //! format-compatibility pin.
 //!
-//! The golden fixture under `tests/fixtures/` is regenerated with:
+//! The golden fixtures under `tests/fixtures/` are regenerated with:
 //!
 //! ```text
 //! AERO_BLESS_FIXTURES=1 cargo test -q --test persist
@@ -16,6 +16,7 @@ use std::collections::HashSet;
 
 use aero_core::fingerprint::fnv1a_64;
 use aero_core::SchemeKind;
+use aero_nand::FaultConfig;
 use aero_ssd::{
     apply_torn_write, Auditor, PersistError, Ssd, SsdConfig, TornWrite, CHECKSUM_BYTES,
     FORMAT_VERSION, HEADER_BYTES, MAGIC,
@@ -201,38 +202,124 @@ fn golden_bytes() -> (SsdConfig, Vec<u8>) {
     (config, ssd.snapshot_bytes())
 }
 
-/// The committed fixture pins format v2: it must keep restoring byte-for-
-/// byte, and a version-bumped copy must be refused with the typed error.
+/// The deterministic drive behind the faulted golden fixture: a worn AERO
+/// drive under every fault class, with GC running, that retires its spares
+/// and goes read-only. Its lifetime counters are all non-zero and pairwise
+/// different, and so are its erase statistics, so a codec that swaps two
+/// of them cannot reproduce the committed bytes.
+fn faulted_golden_bytes() -> (SsdConfig, Vec<u8>) {
+    let config = SsdConfig::small_test(SchemeKind::Aero)
+        .with_seed(1)
+        .with_spare_blocks(3)
+        .with_faults(FaultConfig {
+            program_fail_per_million: 20_000,
+            erase_fail_per_million: 10_000,
+            grown_bad_per_million: 5_000,
+            read_fault_per_million: 60_000,
+        });
+    let mut ssd = Ssd::new(config.clone());
+    ssd.precondition_wear(4_000);
+    ssd.fill_fraction(0.6);
+    let trace = SyntheticWorkload {
+        read_ratio: 0.5,
+        mean_request_bytes: 16.0 * 1024.0,
+        mean_inter_arrival_ns: 100_000.0,
+        footprint_bytes: 4 << 20,
+        hot_access_fraction: 0.9,
+        hot_region_fraction: 0.3,
+    }
+    .generate(6_000, 1);
+    // The drive was fresh before the fill, so the run-local report holds
+    // its lifetime counters.
+    let report = ssd.run_trace(&trace);
+    let health = report.health;
+    let mut counters = vec![
+        report.gc_invocations,
+        report.gc_page_moves,
+        report.erase_suspensions,
+        ssd.user_pages_written(),
+        health.program_failures,
+        health.erase_failures,
+        health.media_errors,
+        health.writes_rejected_read_only,
+    ];
+    counters.extend(health.read_retry_histogram);
+    let stats = ssd.erase_stats();
+    let mut erase = vec![
+        stats.operations,
+        stats.loops,
+        stats.total_latency.as_nanos(),
+        stats.total_stress.to_bits(),
+        stats.partial_erases,
+        stats.complete_erases,
+        stats.max_latency.as_nanos(),
+    ];
+    for values in [&mut counters, &mut erase] {
+        let count = values.len();
+        values.sort_unstable();
+        values.dedup();
+        assert!(
+            values.len() == count && values[0] != 0,
+            "the faulted fixture drive needs non-zero, pairwise different values: {values:?}"
+        );
+    }
+    assert!(
+        ssd.read_only(),
+        "the faulted fixture drive must go read-only"
+    );
+    (config, ssd.snapshot_bytes())
+}
+
+/// The committed fixtures pin format v2: each must keep restoring
+/// byte-for-byte, and a version-bumped copy must be refused with the typed
+/// error. The plain fixture pins the mapping, FTL and chip sections; the
+/// faulted one also pins the counter, health and erase-statistics
+/// sections with values no two of which are equal.
 #[test]
 fn golden_snapshot_fixture_pins_the_format() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/snapshot_v2.bin"
-    );
-    let (config, generated) = golden_bytes();
-    if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
-        std::fs::write(path, &generated).expect("bless the fixture");
+    for (name, (config, generated)) in [
+        ("snapshot_v2.bin", golden_bytes()),
+        ("snapshot_v2_faulted.bin", faulted_golden_bytes()),
+    ] {
+        check_golden_fixture(name, &config, &generated);
     }
-    let bytes = std::fs::read(path).expect(
-        "missing tests/fixtures/snapshot_v2.bin — regenerate with \
-         AERO_BLESS_FIXTURES=1 cargo test -q --test persist",
-    );
-    assert_eq!(bytes[..8], MAGIC, "fixture magic");
+}
+
+fn check_golden_fixture(name: &str, config: &SsdConfig, generated: &[u8]) {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var("AERO_BLESS_FIXTURES").is_ok() {
+        std::fs::write(&path, generated).expect("bless the fixture");
+    }
+    let bytes = std::fs::read(&path).unwrap_or_else(|_| {
+        panic!(
+            "missing tests/fixtures/{name} — regenerate with \
+             AERO_BLESS_FIXTURES=1 cargo test -q --test persist"
+        )
+    });
+    assert_eq!(bytes[..8], MAGIC, "{name}: fixture magic");
     assert_eq!(
         u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
         FORMAT_VERSION,
-        "the fixture pins the current format version"
+        "{name}: the fixture pins the current format version"
     );
     assert_eq!(
         bytes, generated,
-        "snapshot bytes drifted from the committed v2 fixture — if the \
+        "{name}: snapshot bytes drifted from the committed v2 fixture — if the \
          format change is deliberate, bump FORMAT_VERSION and re-bless"
     );
 
-    let restored = Ssd::restore_snapshot_bytes(&bytes, &config).expect("the fixture must restore");
+    let restored = Ssd::restore_snapshot_bytes(&bytes, config)
+        .unwrap_or_else(|e| panic!("{name}: the fixture must restore: {e}"));
     let report = restored.audit();
-    assert!(report.is_clean(), "restored fixture drive: {report}");
-    assert_eq!(restored.snapshot_bytes(), bytes, "stable re-serialization");
+    assert!(
+        report.is_clean(),
+        "{name}: restored fixture drive: {report}"
+    );
+    assert_eq!(
+        restored.snapshot_bytes(),
+        bytes,
+        "{name}: stable re-serialization"
+    );
 
     // The bump-version path: a future format is refused with the pair of
     // versions, before any body parsing. The checksum is recomputed so the
@@ -242,13 +329,13 @@ fn golden_snapshot_fixture_pins_the_format() {
     let body_end = future.len() - CHECKSUM_BYTES;
     let sum = fnv1a_64(&future[..body_end]);
     future[body_end..].copy_from_slice(&sum.to_le_bytes());
-    match Ssd::restore_snapshot_bytes(&future, &config) {
+    match Ssd::restore_snapshot_bytes(&future, config) {
         Err(PersistError::UnsupportedVersion { found, supported }) => {
             assert_eq!(found, FORMAT_VERSION + 1);
             assert_eq!(supported, FORMAT_VERSION);
         }
-        Err(other) => panic!("expected UnsupportedVersion, got {other:?}"),
-        Ok(_) => panic!("expected UnsupportedVersion, got a restored drive"),
+        Err(other) => panic!("{name}: expected UnsupportedVersion, got {other:?}"),
+        Ok(_) => panic!("{name}: expected UnsupportedVersion, got a restored drive"),
     }
 }
 
