@@ -467,13 +467,13 @@ impl Ssd {
             .sum();
         // Every erase failure retires exactly one block, and nothing else
         // retires blocks, so the two counters must stay locked together.
-        if retired != self.erase_failures {
+        if retired != self.counters.erase_failures {
             record(
                 out,
                 Invariant::DriveHealth,
                 format!(
                     "{retired} retired blocks across dies but erase_failures counter is {}",
-                    self.erase_failures
+                    self.counters.erase_failures
                 ),
             );
         }
@@ -493,7 +493,7 @@ impl Ssd {
                     .pick_gc_victim()
                     .is_none_or(|v| die.ftl.block(v).valid_pages > 0)
         });
-        if self.read_only && !(spares_exhausted || space_wedged) {
+        if self.read_only() && !(spares_exhausted || space_wedged) {
             record(
                 out,
                 Invariant::DriveHealth,
@@ -504,7 +504,7 @@ impl Ssd {
                 ),
             );
         }
-        if !self.read_only && spares_exhausted {
+        if !self.read_only() && spares_exhausted {
             record(
                 out,
                 Invariant::DriveHealth,
@@ -515,13 +515,13 @@ impl Ssd {
                 ),
             );
         }
-        if self.read_only && self.user_pages_written != self.read_only_user_pages_written {
+        let written = self.counters.user_pages_written;
+        if let Some(frozen) = self.read_only_freeze.filter(|&frozen| frozen != written) {
             record(
                 out,
                 Invariant::DriveHealth,
                 format!(
-                    "read-only drive programmed user pages: {} written vs {} at the transition",
-                    self.user_pages_written, self.read_only_user_pages_written
+                    "read-only drive programmed user pages: {written} written vs {frozen} at the transition"
                 ),
             );
         }

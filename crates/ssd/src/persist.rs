@@ -13,13 +13,14 @@
 //! a run split across a save/restore produces the same [`crate::RunReport`]
 //! as an uninterrupted one.
 //!
-//! The codec is a hand-rolled little-endian binary format (the workspace's
-//! `serde` is a no-op stand-in), length-prefixed throughout, with a magic
-//! header and a whole-file checksum so torn writes — truncations, single
-//! bit flips — are rejected with a typed [`PersistError`] instead of
-//! producing a silently corrupt drive. After decoding, the restore path
-//! additionally runs the full drive audit ([`Ssd::audit`]) and refuses any
-//! snapshot whose decoded state is internally inconsistent.
+//! The codec is a hand-rolled little-endian binary format over
+//! [`aero_core::wire`] (the workspace's `serde` is a no-op stand-in),
+//! length-prefixed throughout, with a magic header and a whole-file
+//! checksum so torn writes — truncations, single bit flips — are rejected
+//! with a typed [`PersistError`] instead of producing a silently corrupt
+//! drive. After decoding, the restore path additionally runs the full
+//! drive audit ([`Ssd::audit`]) and refuses any snapshot whose decoded
+//! state is internally inconsistent.
 //!
 //! # Binary format (version 2)
 //!
@@ -49,6 +50,7 @@ use std::io;
 
 use aero_core::fingerprint::{fnv1a_64, Fingerprint};
 use aero_core::scheme::EraseScheme;
+use aero_core::wire::{put_f64, put_u32, put_u64, put_u8, Reader};
 use aero_core::EraseStats;
 use aero_nand::cell::DataPattern;
 use aero_nand::chip::BlockOverlay;
@@ -191,73 +193,6 @@ pub fn config_fingerprint(config: &SsdConfig) -> u64 {
     f.finish()
 }
 
-// ---------------------------------------------------------------------
-// Little-endian encoding helpers
-// ---------------------------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Bounds-checked little-endian cursor; every read returns `None` without
-/// consuming anything when fewer bytes remain than requested.
-struct Reader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.bytes.len() < n {
-            return None;
-        }
-        let (head, tail) = self.bytes.split_at(n);
-        self.bytes = tail;
-        Some(head)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-}
-
 /// `Some(v)` or bail with [`PersistError::Truncated`].
 macro_rules! need {
     ($e:expr) => {
@@ -388,6 +323,62 @@ fn finite_nonneg(v: f64) -> bool {
     v.is_finite() && v >= 0.0
 }
 
+/// The counters section, in v2 order: the round-robin write die, the
+/// lifetime [`DriveCounters`](crate::ssd::DriveCounters) with the request-id
+/// counter after `user_pages_written`, then the read-only latch and its
+/// write freeze (0 while the drive accepts writes).
+fn put_counters(out: &mut Vec<u8>, ssd: &Ssd) {
+    let c = &ssd.counters;
+    let scalars = [
+        ssd.next_write_die as u64,
+        c.gc_invocations,
+        c.gc_page_moves,
+        c.erase_suspensions,
+        c.user_pages_written,
+        ssd.next_request_id,
+        c.program_failures,
+        c.erase_failures,
+        c.media_errors,
+        c.writes_rejected,
+    ];
+    for value in scalars.into_iter().chain(c.read_retry_histogram) {
+        put_u64(out, value);
+    }
+    put_u8(out, ssd.read_only_freeze.is_some() as u8);
+    put_u64(out, ssd.read_only_freeze.unwrap_or(0));
+}
+
+/// Decodes the section [`put_counters`] writes into `ssd`.
+fn read_counters(r: &mut Reader<'_>, ssd: &mut Ssd) -> Result<(), PersistError> {
+    let next_write_die = need!(r.u64());
+    if next_write_die >= ssd.dies.len() as u64 {
+        return Err(PersistError::Corrupt("round-robin write die index"));
+    }
+    ssd.next_write_die = next_write_die as usize;
+    let c = &mut ssd.counters;
+    c.gc_invocations = need!(r.u64());
+    c.gc_page_moves = need!(r.u64());
+    c.erase_suspensions = need!(r.u64());
+    c.user_pages_written = need!(r.u64());
+    ssd.next_request_id = need!(r.u64());
+    c.program_failures = need!(r.u64());
+    c.erase_failures = need!(r.u64());
+    c.media_errors = need!(r.u64());
+    c.writes_rejected = need!(r.u64());
+    for bucket in &mut c.read_retry_histogram {
+        *bucket = need!(r.u64());
+    }
+    let read_only = need!(r.u8());
+    let frozen = need!(r.u64());
+    ssd.read_only_freeze = match (read_only, frozen) {
+        (0, 0) => None,
+        (1, frozen) if frozen == c.user_pages_written => Some(frozen),
+        (0 | 1, _) => return Err(PersistError::Corrupt("read-only write freeze")),
+        _ => return Err(PersistError::Corrupt("read-only flag")),
+    };
+    Ok(())
+}
+
 impl Ssd {
     /// Serializes the drive's full state into the versioned snapshot format
     /// (see the [module docs](crate::persist) for the layout).
@@ -417,25 +408,8 @@ impl Ssd {
             put_ppa(&mut out, ppa);
         }
 
-        // Drive-wide scheduler counters.
-        put_u64(&mut out, self.next_write_die as u64);
-        put_u64(&mut out, self.gc_invocations);
-        put_u64(&mut out, self.gc_page_moves);
-        put_u64(&mut out, self.erase_suspensions);
-        put_u64(&mut out, self.user_pages_written);
-        put_u64(&mut out, self.next_request_id);
-
-        // Drive-health state: lifetime fault counters, the retry
-        // histogram, and the read-only degradation latch.
-        put_u64(&mut out, self.program_failures);
-        put_u64(&mut out, self.erase_failures);
-        put_u64(&mut out, self.media_errors);
-        put_u64(&mut out, self.writes_rejected);
-        for bucket in self.read_retry_histogram {
-            put_u64(&mut out, bucket);
-        }
-        put_u8(&mut out, self.read_only as u8);
-        put_u64(&mut out, self.read_only_user_pages_written);
+        // Drive-wide counters, health counters and the read-only latch.
+        put_counters(&mut out, self);
 
         // Drive-wide erase statistics (run-local reports diff against
         // these, so an exact round-trip is required for byte-identical
@@ -619,6 +593,9 @@ impl Ssd {
         };
         let valid_words_per_block = (limits.pages_per_block as usize).div_ceil(64);
         let mut r = Reader::new(&bytes[HEADER_BYTES..body_end]);
+        // Rebuild the drive from the configuration (re-deriving each chip's
+        // seed-dependent process variation), then overlay the decoded state.
+        let mut ssd = Ssd::new(config.clone());
 
         // Mapping.
         let table_len = need!(r.u64());
@@ -648,39 +625,11 @@ impl Ssd {
             let ppa = read_ppa(&mut r, &limits)?;
             orphans.insert(lpn, ppa);
         }
-        let mapping = PageMapping::from_parts(table, orphans).ok_or(PersistError::Corrupt(
+        ssd.mapping = PageMapping::from_parts(table, orphans).ok_or(PersistError::Corrupt(
             "orphan mapping shadows the flat table",
         ))?;
 
-        // Drive-wide counters.
-        let next_write_die = need!(r.u64());
-        if next_write_die >= limits.dies as u64 {
-            return Err(PersistError::Corrupt("round-robin write die index"));
-        }
-        let gc_invocations = need!(r.u64());
-        let gc_page_moves = need!(r.u64());
-        let erase_suspensions = need!(r.u64());
-        let user_pages_written = need!(r.u64());
-        let next_request_id = need!(r.u64());
-
-        // Drive-health state.
-        let program_failures = need!(r.u64());
-        let erase_failures = need!(r.u64());
-        let media_errors = need!(r.u64());
-        let writes_rejected = need!(r.u64());
-        let mut read_retry_histogram = [0u64; 6];
-        for bucket in &mut read_retry_histogram {
-            *bucket = need!(r.u64());
-        }
-        let read_only = match need!(r.u8()) {
-            0 => false,
-            1 => true,
-            _ => return Err(PersistError::Corrupt("read-only flag")),
-        };
-        let read_only_user_pages_written = need!(r.u64());
-        if read_only && read_only_user_pages_written != user_pages_written {
-            return Err(PersistError::Corrupt("read-only write freeze"));
-        }
+        read_counters(&mut r, &mut ssd)?;
 
         // Erase statistics.
         let stats = EraseStats {
@@ -708,33 +657,17 @@ impl Ssd {
         if scheme_len > r.remaining() as u64 {
             return Err(PersistError::Truncated);
         }
-        let scheme_blob = need!(r.take(scheme_len as usize)).to_vec();
+        let scheme_blob = need!(r.take(scheme_len as usize));
 
-        // Dies: rebuild each chip from the configuration (re-deriving the
-        // seed-dependent process variation), then overlay the mutable state.
+        // Dies: overlay each die's mutable state on the rebuilt chip.
         let die_count = need!(r.u64());
         if die_count != limits.dies as u64 {
             return Err(PersistError::Corrupt("die count"));
         }
-        let mut ssd = Ssd::new(config.clone());
-        if !ssd.controller.scheme_mut().import_state(&scheme_blob) {
+        if !ssd.controller.scheme_mut().import_state(scheme_blob) {
             return Err(PersistError::Corrupt("erase-scheme state blob"));
         }
         ssd.controller.restore_stats(stats);
-        ssd.mapping = mapping;
-        ssd.next_write_die = next_write_die as usize;
-        ssd.gc_invocations = gc_invocations;
-        ssd.gc_page_moves = gc_page_moves;
-        ssd.erase_suspensions = erase_suspensions;
-        ssd.user_pages_written = user_pages_written;
-        ssd.next_request_id = next_request_id;
-        ssd.program_failures = program_failures;
-        ssd.erase_failures = erase_failures;
-        ssd.media_errors = media_errors;
-        ssd.writes_rejected = writes_rejected;
-        ssd.read_retry_histogram = read_retry_histogram;
-        ssd.read_only = read_only;
-        ssd.read_only_user_pages_written = read_only_user_pages_written;
 
         for die_idx in 0..limits.dies as usize {
             let block_count = need!(r.u64());
@@ -1087,6 +1020,50 @@ mod tests {
         assert!(PersistError::BadMagic.source().is_none());
         let boxed: Box<dyn std::error::Error> = Box::new(PersistError::ChecksumMismatch);
         assert!(boxed.to_string().contains("checksum"));
+    }
+
+    /// The counter section decodes what it encodes, and the read-only
+    /// latch and its write freeze must agree: a freeze without the latch,
+    /// a freeze that differs from `user_pages_written`, or an unknown flag
+    /// is corrupt.
+    #[test]
+    fn counter_section_round_trips_and_checks_the_read_only_freeze() {
+        let config = SsdConfig::small_test(SchemeKind::Aero);
+        let mut ssd = Ssd::new(config.clone());
+        ssd.next_write_die = 1;
+        ssd.next_request_id = 99;
+        ssd.counters.user_pages_written = 40;
+        ssd.counters.read_retry_histogram = [1, 2, 3, 4, 5, 6];
+        assert!(ssd.enter_read_only());
+        let mut bytes = Vec::new();
+        put_counters(&mut bytes, &ssd);
+        let decode = |bytes: &[u8]| {
+            let mut fresh = Ssd::new(config.clone());
+            read_counters(&mut Reader::new(bytes), &mut fresh).map(|()| fresh)
+        };
+        let restored = decode(&bytes).expect("round trip");
+        assert_eq!(restored.next_write_die, 1);
+        assert_eq!(restored.next_request_id, 99);
+        assert_eq!(restored.read_only_freeze, Some(40));
+        assert_eq!(
+            format!("{:?}", restored.counters),
+            format!("{:?}", ssd.counters)
+        );
+        // 16 u64 scalars precede the latch byte and the frozen count.
+        let flag = 16 * 8;
+        for (latch, frozen, error) in [
+            (0u8, 40u64, "read-only write freeze"),
+            (1, 39, "read-only write freeze"),
+            (2, 40, "read-only flag"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[flag] = latch;
+            bad[flag + 1..].copy_from_slice(&frozen.to_le_bytes());
+            match decode(&bad) {
+                Err(PersistError::Corrupt(what)) => assert_eq!(what, error),
+                other => panic!("latch {latch}, freeze {frozen}: {:?}", other.err()),
+            }
+        }
     }
 
     /// Version-1 snapshots predate the fault model (no fault RNG, no

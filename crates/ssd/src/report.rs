@@ -62,7 +62,8 @@ pub struct DriveHealth {
     /// disabled — the ladder never runs.
     pub read_retry_histogram: [u64; 6],
     /// User writes completed as `DriveReadOnly` this run because the
-    /// drive had exhausted its spares.
+    /// drive was read-only: retirements had exhausted its spares, or a die
+    /// could no longer reclaim space.
     pub writes_rejected_read_only: u64,
     /// Whether the drive is in read-only graceful degradation.
     pub read_only: bool,

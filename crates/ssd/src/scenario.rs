@@ -378,15 +378,15 @@ pub fn run_scenario_with(
         requests_completed: completed_before,
         checkpoints: auditor.checkpoints(),
         sessions_run,
-        gc_invocations: ssd.gc_invocations,
+        gc_invocations: ssd.counters.gc_invocations,
         erases: ssd.erase_stats().operations,
         crashed,
         faulted: scenario.fault.is_some(),
         retired_blocks: ssd.retired_blocks(),
-        program_failures: ssd.program_failures,
-        media_errors: ssd.media_errors,
-        recovered_reads: ssd.read_retry_histogram[1..].iter().sum(),
-        writes_rejected_read_only: ssd.writes_rejected,
+        program_failures: ssd.counters.program_failures,
+        media_errors: ssd.counters.media_errors,
+        recovered_reads: ssd.counters.read_retry_histogram[1..].iter().sum(),
+        writes_rejected_read_only: ssd.counters.writes_rejected,
         read_only: ssd.read_only(),
         multi_tenant,
         tenant_requests_completed,

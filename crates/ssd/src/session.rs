@@ -65,8 +65,8 @@ use aero_workloads::source::WorkloadSource;
 use crate::audit::{record, AuditReport, Auditor, Invariant, Violation};
 use crate::ftl::Ppa;
 use crate::latency::LatencyRecorder;
-use crate::report::{ChannelStats, DriveHealth, RunReport, TenantReport};
-use crate::ssd::{EraseJob, PageTxn, PlacedWrite, Ssd};
+use crate::report::{DriveHealth, RunReport, TenantReport};
+use crate::ssd::{DriveCounters, EraseJob, PageTxn, PlacedWrite, Ssd};
 
 /// How a request completed: normally, or degraded through the drive's
 /// fault-recovery path. Requests complete — they are never silently
@@ -393,16 +393,10 @@ pub struct Simulation<'a, S> {
     read_latency: LatencyRecorder,
     write_latency: LatencyRecorder,
     makespan_ns: u64,
+    /// Session-start copies the reports subtract, which makes every erase
+    /// statistic and drive counter run-local.
     baseline_erase_stats: aero_core::EraseStats,
-    baseline_gc_invocations: u64,
-    baseline_gc_page_moves: u64,
-    baseline_erase_suspensions: u64,
-    // Run-local fault/health accounting.
-    baseline_program_failures: u64,
-    baseline_erase_failures: u64,
-    baseline_media_errors: u64,
-    baseline_read_retry_histogram: [u64; 6],
-    baseline_writes_rejected: u64,
+    baseline_counters: DriveCounters,
     /// Largest single-erase latency decided during *this* run (the
     /// lifetime maximum in `EraseStats` is not subtractable, so the
     /// session tracks the run-local maximum directly).
@@ -429,14 +423,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         let page_bytes = ssd.config.family.geometry.page_size_bytes;
         let scheme = ssd.config.scheme.label().to_string();
         let baseline_erase_stats = ssd.controller.stats().clone();
-        let baseline_gc_invocations = ssd.gc_invocations;
-        let baseline_gc_page_moves = ssd.gc_page_moves;
-        let baseline_erase_suspensions = ssd.erase_suspensions;
-        let baseline_program_failures = ssd.program_failures;
-        let baseline_erase_failures = ssd.erase_failures;
-        let baseline_media_errors = ssd.media_errors;
-        let baseline_read_retry_histogram = ssd.read_retry_histogram;
-        let baseline_writes_rejected = ssd.writes_rejected;
+        let baseline_counters = ssd.counters;
         let in_flight_base = ssd.next_request_id;
         let sched = DieSched::new(ssd);
         let mut sim = Simulation {
@@ -460,14 +447,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             write_latency: LatencyRecorder::new(),
             makespan_ns: 0,
             baseline_erase_stats,
-            baseline_gc_invocations,
-            baseline_gc_page_moves,
-            baseline_erase_suspensions,
-            baseline_program_failures,
-            baseline_erase_failures,
-            baseline_media_errors,
-            baseline_read_retry_histogram,
-            baseline_writes_rejected,
+            baseline_counters,
             run_max_erase_latency: Micros::ZERO,
             read_only_since_ns: None,
             tenant_stats: Vec::new(),
@@ -752,11 +732,11 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         } else {
             recovery.retries.min(4) as usize
         };
-        self.ssd.read_retry_histogram[bucket] += 1;
+        self.ssd.counters.read_retry_histogram[bucket] += 1;
         if recovery.corrected {
             (recovery.extra_latency_ns, CompletionStatus::Ok)
         } else {
-            self.ssd.media_errors += 1;
+            self.ssd.counters.media_errors += 1;
             (recovery.extra_latency_ns, CompletionStatus::MediaError)
         }
     }
@@ -999,11 +979,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         // `EraseStats::diff` cannot subtract maxima; the session tracked
         // the run-local maximum itself.
         erase_stats.max_latency = self.run_max_erase_latency;
-        let mut read_retry_histogram = [0u64; 6];
-        for (bucket, out) in read_retry_histogram.iter_mut().enumerate() {
-            *out =
-                self.ssd.read_retry_histogram[bucket] - self.baseline_read_retry_histogram[bucket];
-        }
+        let run = self.ssd.counters.diff(&self.baseline_counters);
         RunReport {
             scheme: self.scheme.clone(),
             reads_completed: self.reads_completed,
@@ -1012,31 +988,20 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
             write_latency: LatencyRecorder::new(),
             makespan_ns: self.makespan_ns,
             erase_stats,
-            gc_invocations: self.ssd.gc_invocations - self.baseline_gc_invocations,
-            gc_page_moves: self.ssd.gc_page_moves - self.baseline_gc_page_moves,
-            erase_suspensions: self.ssd.erase_suspensions - self.baseline_erase_suspensions,
-            channel_stats: self
-                .ssd
-                .channels
-                .iter()
-                .map(|c| ChannelStats {
-                    transfers: c.transfers,
-                    busy_ns: c.busy_ns,
-                    waited_transfers: c.waited_transfers,
-                    wait_ns: c.wait_ns,
-                    write_deferrals: c.write_deferrals,
-                })
-                .collect(),
+            gc_invocations: run.gc_invocations,
+            gc_page_moves: run.gc_page_moves,
+            erase_suspensions: run.erase_suspensions,
+            channel_stats: self.ssd.channels.iter().map(|c| c.stats).collect(),
             health: DriveHealth {
                 retired_blocks: self.ssd.retired_blocks(),
                 spare_blocks_total: self.ssd.config.spare_budget(),
                 spare_headroom: self.ssd.spare_headroom(),
-                program_failures: self.ssd.program_failures - self.baseline_program_failures,
-                erase_failures: self.ssd.erase_failures - self.baseline_erase_failures,
-                media_errors: self.ssd.media_errors - self.baseline_media_errors,
-                read_retry_histogram,
-                writes_rejected_read_only: self.ssd.writes_rejected - self.baseline_writes_rejected,
-                read_only: self.ssd.read_only,
+                program_failures: run.program_failures,
+                erase_failures: run.erase_failures,
+                media_errors: run.media_errors,
+                read_retry_histogram: run.read_retry_histogram,
+                writes_rejected_read_only: run.writes_rejected,
+                read_only: self.ssd.read_only(),
                 read_only_since_ns: self.read_only_since_ns,
             },
             // Session-side tenant slices: completion counts. Host-side
@@ -1207,7 +1172,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         let deferred_at = self.sched.write_deferred_at[die_idx];
         if deferred_at != NONE_NS {
             self.sched.write_deferred_at[die_idx] = NONE_NS;
-            self.ssd.channels[channel_idx].wait_ns += now - deferred_at;
+            self.ssd.channels[channel_idx].stats.wait_ns += now - deferred_at;
         }
     }
 
@@ -1246,7 +1211,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                     .expect("in-flight erase checked above");
                 if !job.suspended {
                     job.suspended = true;
-                    self.ssd.erase_suspensions += 1;
+                    self.ssd.counters.erase_suspensions += 1;
                 }
             }
             // Sense on the die's array, then move the page over the shared
@@ -1293,12 +1258,12 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
         // higher-priority reads in the meantime — instead of reserving the
         // bus ahead of time.
         if let Some(txn) = self.ssd.dies[die_idx].user_writes.pop_front() {
-            if self.ssd.read_only {
+            if self.ssd.read_only() {
                 // Graceful degradation: the host transfer happens (the data
                 // arrived at the controller) but nothing is programmed; the
                 // page completes as `DriveReadOnly`.
                 self.charge_write_deferral(die_idx, channel_idx, now);
-                self.ssd.writes_rejected += 1;
+                self.ssd.counters.writes_rejected += 1;
                 let done = self.ssd.channels[channel_idx].reserve(now, transfer) + transfer;
                 self.complete_page(txn, done, CompletionStatus::DriveReadOnly);
                 self.make_busy(die_idx, now, done - now);
@@ -1313,7 +1278,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 // read) cannot double-count overlapping wait windows.
                 if self.sched.write_deferred_at[die_idx] == NONE_NS {
                     self.sched.write_deferred_at[die_idx] = now;
-                    self.ssd.channels[channel_idx].write_deferrals += 1;
+                    self.ssd.channels[channel_idx].stats.write_deferrals += 1;
                 }
                 self.sched.schedule(die_idx, bus_free_at);
                 return;
@@ -1331,6 +1296,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 self.ssd.place_write(die_idx, txn.lpn)
             };
             if let Some(placed) = placed {
+                self.ssd.counters.user_pages_written += 1;
                 self.note_page_write(die_idx, txn.lpn, placed, false, now);
                 // The deferral guard above means the bus is free here: a
                 // user write never waits inside `reserve` — its bus waiting
@@ -1357,9 +1323,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                     // trip the same read-only degradation as spare
                     // exhaustion; the queued write (and all after it)
                     // completes as `DriveReadOnly` while reads keep serving.
-                    if !self.ssd.read_only {
-                        self.ssd.read_only = true;
-                        self.ssd.read_only_user_pages_written = self.ssd.user_pages_written;
+                    if self.ssd.enter_read_only() {
                         self.read_only_since_ns = Some(now);
                     }
                     let txn = self.ssd.dies[die_idx]
@@ -1367,7 +1331,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                         .pop_front()
                         // aero-lint: allow(D4, the same transaction was push_front'ed two lines up)
                         .expect("just requeued");
-                    self.ssd.writes_rejected += 1;
+                    self.ssd.counters.writes_rejected += 1;
                     let done = self.ssd.channels[channel_idx].reserve(now, transfer) + transfer;
                     self.complete_page(txn, done, CompletionStatus::DriveReadOnly);
                     self.make_busy(die_idx, now, done - now);
@@ -1433,8 +1397,7 @@ impl<'a, S: WorkloadSource> Simulation<'a, S> {
                 // scale as user writes (DPES trades erase stress for slower
                 // programs on *every* program, GC migrations included).
                 done = write_in_done + (timings.program.as_nanos() as f64 * program_scale) as u64;
-                self.ssd.gc_page_moves += 1;
-                self.ssd.user_pages_written -= 1; // GC rewrites are not user writes
+                self.ssd.counters.gc_page_moves += 1;
             } else if still_valid {
                 // The rescue write found no slot. The feasibility gate and
                 // the slot reserve make this rare (program-status failures
@@ -1729,7 +1692,7 @@ mod tests {
             now = sim.sched.busy_until[0];
         }
         assert_eq!(
-            sim.ssd.erase_suspensions, 1,
+            sim.ssd.counters.erase_suspensions, 1,
             "three reads in one suspension window are one suspension"
         );
         // No reads pending: the erase resumes (one loop).
@@ -1740,7 +1703,7 @@ mod tests {
             .user_reads
             .push_back(PageTxn { request: 3, lpn: 9 });
         sim.dispatch(0, now);
-        assert_eq!(sim.ssd.erase_suspensions, 2);
+        assert_eq!(sim.ssd.counters.erase_suspensions, 2);
     }
 
     /// GC rewrites pay the same wear-dependent program-latency scale as
@@ -1775,7 +1738,7 @@ mod tests {
             sim.sched.busy_until[0], expected,
             "the migration must pay tR + two bus transfers + scaled tPROG"
         );
-        assert_eq!(sim.ssd.gc_page_moves, 1);
+        assert_eq!(sim.ssd.counters.gc_page_moves, 1);
     }
 
     /// Satellite regression: per-run scheduler state left behind by a prior
@@ -1792,8 +1755,8 @@ mod tests {
         poisoned.fill_fraction(0.5);
         for channel in &mut poisoned.channels {
             channel.busy_until = 250_000_000;
-            channel.transfers = 99;
-            channel.busy_ns = 77;
+            channel.stats.transfers = 99;
+            channel.stats.busy_ns = 77;
         }
         let trace = SyntheticWorkload::default_test().generate(500, 3);
         let clean_report = clean.run_trace(&trace);

@@ -60,7 +60,7 @@ use aero_workloads::source::{TraceSource, WorkloadSource};
 
 use crate::config::SsdConfig;
 use crate::ftl::{DieFtl, PageMapping, Ppa};
-use crate::report::RunReport;
+use crate::report::{ChannelStats, RunReport};
 use crate::session::Simulation;
 
 /// A queued user page transaction.
@@ -123,22 +123,13 @@ impl EraseJob {
 /// Page data transfers reserve the bus in FCFS order; NAND array time never
 /// occupies it. `reserve` is the whole arbitration protocol: it grants the
 /// bus at the earliest instant both the requester and the bus are ready,
-/// and keeps the contention counters surfaced in
-/// [`crate::report::ChannelStats`].
+/// and keeps the run's contention counters in `stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Channel {
     /// Simulated time until which the bus is occupied.
     pub(crate) busy_until: u64,
-    /// Total bus-occupied time.
-    pub(crate) busy_ns: u64,
-    /// Number of transfers carried.
-    pub(crate) transfers: u64,
-    /// Transfers whose start was delayed by a prior reservation.
-    pub(crate) waited_transfers: u64,
-    /// Total delay (reservation waits plus write dispatch deferrals).
-    pub(crate) wait_ns: u64,
-    /// User-write dispatches deferred because the bus was busy.
-    pub(crate) write_deferrals: u64,
+    /// The run-local counters the report carries as they are.
+    pub(crate) stats: ChannelStats,
 }
 
 impl Channel {
@@ -148,13 +139,72 @@ impl Channel {
     pub(crate) fn reserve(&mut self, earliest: u64, duration: u64) -> u64 {
         let start = earliest.max(self.busy_until);
         if start > earliest {
-            self.waited_transfers += 1;
-            self.wait_ns += start - earliest;
+            self.stats.waited_transfers += 1;
+            self.stats.wait_ns += start - earliest;
         }
-        self.transfers += 1;
-        self.busy_ns += duration;
+        self.stats.transfers += 1;
+        self.stats.busy_ns += duration;
         self.busy_until = start + duration;
         start
+    }
+}
+
+/// The drive's lifetime event counters. A session takes one copy when it
+/// opens and reports [`DriveCounters::diff`] against it, so every report
+/// counter is run-local.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DriveCounters {
+    pub(crate) gc_invocations: u64,
+    pub(crate) gc_page_moves: u64,
+    pub(crate) erase_suspensions: u64,
+    /// User pages placed, preconditioning fills included; GC migrations
+    /// are not user pages.
+    pub(crate) user_pages_written: u64,
+    /// Program-status failures absorbed by remapping the in-flight page
+    /// to the next frontier slot.
+    pub(crate) program_failures: u64,
+    /// Erase-status failures; each one retires a block.
+    pub(crate) erase_failures: u64,
+    /// Reads left uncorrectable after the full recovery ladder (completed
+    /// as `MediaError`).
+    pub(crate) media_errors: u64,
+    /// User writes completed as `DriveReadOnly`.
+    pub(crate) writes_rejected: u64,
+    /// Read-recovery outcomes: buckets 0–4 count reads resolved after that
+    /// many retries, bucket 5 counts soft-decode fallbacks.
+    pub(crate) read_retry_histogram: [u64; 6],
+}
+
+impl DriveCounters {
+    /// The counts accumulated since `baseline` was taken.
+    pub(crate) fn diff(&self, baseline: &DriveCounters) -> DriveCounters {
+        let mut read_retry_histogram = [0u64; 6];
+        for (d, (a, b)) in read_retry_histogram.iter_mut().zip(
+            self.read_retry_histogram
+                .iter()
+                .zip(baseline.read_retry_histogram.iter()),
+        ) {
+            *d = a.saturating_sub(*b);
+        }
+        DriveCounters {
+            gc_invocations: self.gc_invocations.saturating_sub(baseline.gc_invocations),
+            gc_page_moves: self.gc_page_moves.saturating_sub(baseline.gc_page_moves),
+            erase_suspensions: self
+                .erase_suspensions
+                .saturating_sub(baseline.erase_suspensions),
+            user_pages_written: self
+                .user_pages_written
+                .saturating_sub(baseline.user_pages_written),
+            program_failures: self
+                .program_failures
+                .saturating_sub(baseline.program_failures),
+            erase_failures: self.erase_failures.saturating_sub(baseline.erase_failures),
+            media_errors: self.media_errors.saturating_sub(baseline.media_errors),
+            writes_rejected: self
+                .writes_rejected
+                .saturating_sub(baseline.writes_rejected),
+            read_retry_histogram,
+        }
     }
 }
 
@@ -218,10 +268,7 @@ pub struct Ssd {
     pub(crate) channels: Vec<Channel>,
     pub(crate) controller: EraseController<Box<dyn EraseScheme>>,
     pub(crate) next_write_die: usize,
-    pub(crate) gc_invocations: u64,
-    pub(crate) gc_page_moves: u64,
-    pub(crate) erase_suspensions: u64,
-    pub(crate) user_pages_written: u64,
+    pub(crate) counters: DriveCounters,
     /// Session-wide request id counter. Ids are unique across every session
     /// ever opened on this drive, so a page transaction left queued by an
     /// abandoned session can never be mistaken for a later session's
@@ -230,27 +277,13 @@ pub struct Ssd {
     /// ECC configuration the drive was built with; shared by the erase
     /// scheme derivation and the read-retry/soft-decode recovery ladder.
     pub(crate) ecc: EccConfig,
-    /// Lifetime count of program-status failures absorbed by remapping the
-    /// in-flight page to the next frontier slot.
-    pub(crate) program_failures: u64,
-    /// Lifetime count of erase-status failures; each one retires a block.
-    pub(crate) erase_failures: u64,
-    /// Lifetime count of reads left uncorrectable after the full recovery
-    /// ladder (completed as `MediaError`).
-    pub(crate) media_errors: u64,
-    /// Lifetime read-recovery histogram: buckets 0–4 count reads resolved
-    /// after that many retries, bucket 5 counts soft-decode fallbacks.
-    pub(crate) read_retry_histogram: [u64; 6],
-    /// Lifetime count of user writes completed as `DriveReadOnly`.
-    pub(crate) writes_rejected: u64,
-    /// Whether the drive has exhausted its bad-block spare budget and
-    /// degraded to read-only mode. Terminal: reads keep serving, every
-    /// subsequent user write completes as `DriveReadOnly`.
-    pub(crate) read_only: bool,
-    /// `user_pages_written` frozen at the read-only transition; the audit
-    /// asserts it never moves afterwards (a read-only drive places no user
-    /// writes — GC rescue migrations net out to zero on this counter).
-    pub(crate) read_only_user_pages_written: u64,
+    /// `Some(user_pages_written)` frozen at the read-only transition, and
+    /// `None` while the drive accepts writes. The drive degrades to
+    /// read-only when retirements exhaust its spare budget or a die can no
+    /// longer reclaim space. Terminal: reads keep serving, every later user
+    /// write completes as `DriveReadOnly`, and the audit asserts the frozen
+    /// count never moves. Set only by [`Ssd::enter_read_only`].
+    pub(crate) read_only_freeze: Option<u64>,
 }
 
 /// Seed salt separating the per-die fault-model RNG streams from the
@@ -318,19 +351,10 @@ impl Ssd {
             channels,
             controller: EraseController::new(scheme),
             next_write_die: 0,
-            gc_invocations: 0,
-            gc_page_moves: 0,
-            erase_suspensions: 0,
-            user_pages_written: 0,
+            counters: DriveCounters::default(),
             next_request_id: 0,
             ecc,
-            program_failures: 0,
-            erase_failures: 0,
-            media_errors: 0,
-            read_retry_histogram: [0; 6],
-            writes_rejected: 0,
-            read_only: false,
-            read_only_user_pages_written: 0,
+            read_only_freeze: None,
         };
         for die_idx in 0..ssd.dies.len() {
             ssd.refresh_program_scale(die_idx);
@@ -404,6 +428,7 @@ impl Ssd {
                 "fill_fraction: the drive is full after placing {lpn} of {logical_pages} pages \
                  (fills never garbage-collect; reduce the fill fraction or enlarge the drive)"
             );
+            self.counters.user_pages_written += 1;
         }
     }
 
@@ -461,7 +486,7 @@ impl Ssd {
 
     /// Number of user pages written (including preconditioning fills).
     pub fn user_pages_written(&self) -> u64 {
-        self.user_pages_written
+        self.counters.user_pages_written
     }
 
     /// Access to the drive-wide erase statistics.
@@ -500,7 +525,7 @@ impl Ssd {
                 // and the write remaps to the next frontier slot. GC
                 // reclaims the dead page when the block is collected.
                 die.ftl.block_mut(block).mark_invalid(page);
-                self.program_failures += 1;
+                self.counters.program_failures += 1;
                 continue;
             }
             break (block, page);
@@ -516,7 +541,6 @@ impl Ssd {
             page,
         };
         die.p2l[(block * pages_per_block + page) as usize] = lpn;
-        self.user_pages_written += 1;
         // Invalidate the previous location of this logical page.
         let previous = self.mapping.update(lpn, ppa);
         if let Some(old) = previous {
@@ -560,7 +584,7 @@ impl Ssd {
         // A read-only drive accepts no new writes, so it has no need for
         // new free space; an already-running collection finishes, but no
         // new victim is opened (each erase risks another retirement).
-        if self.read_only {
+        if self.read_only() {
             return None;
         }
         let die = &mut self.dies[die_idx];
@@ -578,7 +602,7 @@ impl Ssd {
             return None;
         }
         die.gc_in_progress = true;
-        self.gc_invocations += 1;
+        self.counters.gc_invocations += 1;
         die.ftl.start_collecting(victim);
         let mut page_moves = 0;
         for page in die.ftl.block(victim).valid_page_indices() {
@@ -690,13 +714,19 @@ impl Ssd {
     /// the spare budget and tripped the read-only transition.
     pub(crate) fn retire_block(&mut self, die_idx: usize, block: u32) -> bool {
         self.dies[die_idx].ftl.retire_block(block);
-        self.erase_failures += 1;
-        if !self.read_only && self.retired_blocks() >= self.config.spare_budget() {
-            self.read_only = true;
-            self.read_only_user_pages_written = self.user_pages_written;
-            return true;
+        self.counters.erase_failures += 1;
+        self.retired_blocks() >= self.config.spare_budget() && self.enter_read_only()
+    }
+
+    /// The one read-only transition: latches read-only mode and freezes
+    /// `user_pages_written` with it. Returns `true` on the transition and
+    /// `false` if the drive was already read-only.
+    pub(crate) fn enter_read_only(&mut self) -> bool {
+        if self.read_only() {
+            return false;
         }
-        false
+        self.read_only_freeze = Some(self.counters.user_pages_written);
+        true
     }
 
     /// Total number of retired (permanently bad) blocks across every die.
@@ -715,10 +745,11 @@ impl Ssd {
             .saturating_sub(self.retired_blocks())
     }
 
-    /// Whether the drive has exhausted its spares and degraded to read-only
-    /// mode (reads keep serving; user writes complete as `DriveReadOnly`).
+    /// Whether the drive has degraded to read-only mode, because
+    /// retirements exhausted its spares or a die can no longer reclaim
+    /// space (reads keep serving; user writes complete as `DriveReadOnly`).
     pub fn read_only(&self) -> bool {
-        self.read_only
+        self.read_only_freeze.is_some()
     }
 }
 
@@ -1008,11 +1039,15 @@ mod tests {
             "the second run must not re-report the first run's erases"
         );
         // GC and suspension counters are run-local too.
-        assert_eq!(r1.gc_invocations + r2.gc_invocations, ssd.gc_invocations);
-        assert_eq!(r1.gc_page_moves + r2.gc_page_moves, ssd.gc_page_moves);
+        let lifetime = ssd.counters;
+        assert_eq!(
+            r1.gc_invocations + r2.gc_invocations,
+            lifetime.gc_invocations
+        );
+        assert_eq!(r1.gc_page_moves + r2.gc_page_moves, lifetime.gc_page_moves);
         assert_eq!(
             r1.erase_suspensions + r2.erase_suspensions,
-            ssd.erase_suspensions
+            lifetime.erase_suspensions
         );
     }
 
